@@ -24,27 +24,26 @@ type Entry[N comparable, L any] struct {
 // Duplicate assertions (same endpoints and label) are recorded once,
 // keeping the first reason — fixpoint engines re-assert the same
 // relations every iteration, and duplicates would bloat the log
-// without adding derivable facts.
+// without adding derivable facts. A duplicate is found by scanning the
+// shorter adjacency list of its two endpoints, so deduplication keeps
+// no key per entry.
+// Each entry also carries a persisted mark, which a durable store sets
+// through SyncJournal once the entry's record is on disk: the store
+// keeps no entry list or dedup index of its own.
 //
 // A Journal is not safe for concurrent use.
 type Journal[N comparable, L any] struct {
-	g       group.Group[L]
-	entries []Entry[N, L]
-	adj     map[N][]int // node -> indices of entries touching it
-	seen    map[dedupKey[N]]bool
-}
-
-type dedupKey[N comparable] struct {
-	n, m N
-	k    string
+	g         group.Group[L]
+	entries   []Entry[N, L]
+	adj       map[N][]int // node -> indices of entries touching it
+	persisted []bool      // by entry index: record written by a store
 }
 
 // NewJournal returns an empty journal over the label group g.
 func NewJournal[N comparable, L any](g group.Group[L]) *Journal[N, L] {
 	return &Journal[N, L]{
-		g:    g,
-		adj:  map[N][]int{},
-		seen: map[dedupKey[N]]bool{},
+		g:   g,
+		adj: map[N][]int{},
 	}
 }
 
@@ -58,17 +57,41 @@ func (j *Journal[N, L]) Group() group.Group[L] { return j.g }
 //	j := cert.NewJournal[string, int64](group.Delta{})
 //	u := core.New[string, int64](group.Delta{}, core.WithRecorder(j.Record))
 func (j *Journal[N, L]) Record(n, m N, l L, reason string) {
-	key := dedupKey[N]{n: n, m: m, k: j.g.Key(l)}
-	if j.seen[key] {
-		return
+	if j.find(n, m, l) < 0 {
+		j.add(n, m, l, reason)
 	}
-	j.seen[key] = true
+}
+
+// add appends an entry known not to be recorded yet and returns its
+// index.
+func (j *Journal[N, L]) add(n, m N, l L, reason string) int {
 	idx := len(j.entries)
 	j.entries = append(j.entries, Entry[N, L]{N: n, M: m, Label: l, Reason: reason})
+	j.persisted = append(j.persisted, false)
 	j.adj[n] = append(j.adj[n], idx)
 	if m != n {
 		j.adj[m] = append(j.adj[m], idx)
 	}
+	return idx
+}
+
+// find returns the index in Entries of the recorded assertion
+// n --l--> m (same endpoints in the same orientation, Equal label), or
+// -1 when it was never recorded. It scans the shorter adjacency list
+// of the two endpoints.
+func (j *Journal[N, L]) find(n, m N, l L) int {
+	cand := j.adj[n]
+	if m != n {
+		if am := j.adj[m]; len(am) < len(cand) {
+			cand = am
+		}
+	}
+	for _, idx := range cand {
+		if e := &j.entries[idx]; e.N == n && e.M == m && j.g.Equal(e.Label, l) {
+			return idx
+		}
+	}
+	return -1
 }
 
 // Len returns the number of recorded assertions.

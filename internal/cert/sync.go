@@ -54,6 +54,54 @@ func (s *SyncJournal[N, L]) Entries() []Entry[N, L] {
 	return out
 }
 
+// Persisted reports whether a store has marked an assertion with e's
+// endpoints and label persisted.
+func (s *SyncJournal[N, L]) Persisted(e Entry[N, L]) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	i := s.j.find(e.N, e.M, e.Label)
+	return i >= 0 && s.j.persisted[i]
+}
+
+// MarkPersisted marks the assertion e persisted, recording it first
+// when the journal lacks it (a store appending assertions no recording
+// union-find saw). It reports whether the mark is new: false means an
+// equal assertion was already persisted. A store calls it only once
+// e's record is written, so a failed append leaves the entry unmarked.
+func (s *SyncJournal[N, L]) MarkPersisted(e Entry[N, L]) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := s.j.find(e.N, e.M, e.Label)
+	if i < 0 {
+		i = s.j.add(e.N, e.M, e.Label, e.Reason)
+	}
+	fresh := !s.j.persisted[i]
+	s.j.persisted[i] = true
+	return fresh
+}
+
+// MarkReplayed marks persisted every entry of a journal rebuilt by
+// replaying n records in order, where at(p) is record p, and returns
+// the position of each entry's first record, in journal order. The
+// journal then holds the records' distinct assertions in
+// first-occurrence order, so one merge pass with a single comparison
+// per record matches every entry to its first record; a record equal
+// to no pending entry duplicates an earlier one.
+func (s *SyncJournal[N, L]) MarkReplayed(n int, at func(p int) Entry[N, L]) []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.j
+	firsts := make([]int, 0, len(j.entries))
+	for p := 0; p < n && len(firsts) < len(j.entries); p++ {
+		e := &j.entries[len(firsts)]
+		if r := at(p); r.N == e.N && r.M == e.M && j.g.Equal(r.Label, e.Label) {
+			j.persisted[len(firsts)] = true
+			firsts = append(firsts, p)
+		}
+	}
+	return firsts
+}
+
 // Explain returns a Relation certificate for x and y under the read
 // lock; see Journal.Explain.
 func (s *SyncJournal[N, L]) Explain(x, y N) (Certificate[N, L], error) {

@@ -230,25 +230,27 @@ func (sc *Scrubber[N, L]) Tick() error {
 // certified recovery proves records: each must still be derivable, its
 // certificate must pass the independent checker with the logged label,
 // and the live structure must answer it identically. It returns the
-// number of certificates checked.
+// number of certificates checked. Only the window is copied out of the
+// store, never the whole assertion list.
 func (sc *Scrubber[N, L]) scrubCerts(store *wal.Store[N, L], uf *concurrent.UF[N, L], journal *cert.SyncJournal[N, L]) (checked int, err error) {
 	// Corrupt labels can make group arithmetic panic (e.g. checked
 	// overflow); classify instead of crashing the scrub loop.
 	defer fault.RecoverTo(&err)
-	entries := store.Entries()
-	if len(entries) == 0 {
+	total := store.Len()
+	if total == 0 {
 		return 0, nil
 	}
-	n := sc.cfg.Sample
-	if n > len(entries) {
-		n = len(entries)
-	}
+	n := min(sc.cfg.Sample, total)
 	sc.mu.Lock()
-	start := sc.cursor % len(entries)
+	start := sc.cursor % total
 	sc.cursor += n
 	sc.mu.Unlock()
-	for i := 0; i < n; i++ {
-		e := entries[(start+i)%len(entries)]
+	// The list only grows, so the window's tail wraps to the front only
+	// when no entry was appended past the length read above.
+	window := make([]cert.Entry[N, L], n)
+	got := store.ReadEntries(window, start)
+	store.ReadEntries(window[got:], 0)
+	for i, e := range window {
 		c, err := journal.Explain(e.N, e.M)
 		if err != nil {
 			return i, fault.Invariantf("scrub: assertion (%v -> %v): no derivation: %v", e.N, e.M, err)

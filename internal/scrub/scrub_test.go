@@ -191,6 +191,29 @@ func TestScrubWindowRotatesOverAllAssertions(t *testing.T) {
 	}
 }
 
+// TestScrubWindowWrapsToFront: a window that runs past the end of the
+// assertion list continues at its front. A window as long as the list
+// covers every assertion wherever the rotating cursor starts, so a
+// structure lacking any single assertion fails the first tick.
+func TestScrubWindowWrapsToFront(t *testing.T) {
+	dir := t.TempDir()
+	store, _, _ := buildState(t, dir, 9)
+	g := group.Delta{}
+	for k := range 9 {
+		journal := cert.NewSyncJournal[string, int64](g)
+		uf := concurrent.New[string, int64](g, concurrent.WithRecorder[string, int64](journal.Record))
+		for i, e := range store.Entries() {
+			if i != k {
+				uf.AddRelationReason(e.N, e.M, e.Label, e.Reason)
+			}
+		}
+		sc := scrubberFor(dir, store, uf, journal, func(c *Config[string, int64]) { c.Sample = 9 })
+		if err := sc.Tick(); !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("full-length window over a structure lacking assertion %d: err = %v, want ErrIntegrity", k, err)
+		}
+	}
+}
+
 // TestAuxLogSweepDetectsCorruption: the auxiliary-log sweep re-reads
 // the coordinator's fenced intent/migration logs every tick, so
 // mid-file bit rot is a detected ErrIntegrity instead of a surprise at

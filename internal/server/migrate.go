@@ -721,19 +721,28 @@ func (s *Server) handleMigrateSlice(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := MigrateSliceResponse{Entries: []AssertRequest{}, Nodes: []string{}}
 	seen := map[string]bool{class: true}
-	for _, e := range st.store.Entries() {
-		if !inClass(e.N) {
-			continue
-		}
-		resp.Total++
-		if resp.Total > after && len(resp.Entries) < limit {
-			resp.Entries = append(resp.Entries, AssertRequest{N: e.N, M: e.M, Label: e.Label, Reason: e.Reason})
-		}
-		for _, x := range [2]string{e.N, e.M} {
-			if !seen[x] {
-				seen[x] = true
-				resp.Nodes = append(resp.Nodes, x)
+	// Page through the store's assertion list instead of copying it
+	// whole for every slice window.
+	page := make([]cert.Entry[string, int64], 256)
+	for from := 0; ; from += len(page) {
+		n := st.store.ReadEntries(page, from)
+		for _, e := range page[:n] {
+			if !inClass(e.N) {
+				continue
 			}
+			resp.Total++
+			if resp.Total > after && len(resp.Entries) < limit {
+				resp.Entries = append(resp.Entries, AssertRequest{N: e.N, M: e.M, Label: e.Label, Reason: e.Reason})
+			}
+			for _, x := range [2]string{e.N, e.M} {
+				if !seen[x] {
+					seen[x] = true
+					resp.Nodes = append(resp.Nodes, x)
+				}
+			}
+		}
+		if n < len(page) {
+			break
 		}
 	}
 	resp.Nodes = append([]string{class}, resp.Nodes...)

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -182,5 +185,62 @@ func TestFreezeAndPrepareWindowsExcludeEachOther(t *testing.T) {
 		Intent: 3, Epoch: 1, N: "fresh", M: "a", Label: 7, TTLMillis: 60_000,
 	}); err != nil {
 		t.Fatalf("prepare after thaw: %v", err)
+	}
+}
+
+// TestMigrateSliceSpansStorePages pages a class's journal slice out of
+// a store whose assertion list spans several of the handler's read
+// pages, with the class's entries interleaved with another class's.
+// The windows must tile exactly the class's entries in journal order,
+// each reporting the slice's full total and member list.
+func TestMigrateSliceSpansStorePages(t *testing.T) {
+	s, _, c := newTestServer(t, server.Config{Dir: t.TempDir()})
+	ctx := context.Background()
+	var batch []server.AssertRequest
+	for i := 1; i <= 300; i++ {
+		for _, cls := range []string{"c", "o"} {
+			batch = append(batch, server.AssertRequest{
+				N: cls + strconv.Itoa(i-1), M: cls + strconv.Itoa(i), Label: int64(i), Reason: cls + "-chain",
+			})
+		}
+	}
+	for len(batch) > 0 {
+		n := min(len(batch), 100)
+		resp, err := c.BatchAssert(ctx, batch[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range resp.Results {
+			if !it.OK {
+				t.Fatalf("batch item %d failed: %+v", i, it)
+			}
+		}
+		batch = batch[n:]
+	}
+	var want []server.AssertRequest
+	for _, e := range s.Store().Entries() {
+		if strings.HasPrefix(e.N, "c") {
+			want = append(want, server.AssertRequest{N: e.N, M: e.M, Label: e.Label, Reason: e.Reason})
+		}
+	}
+	if len(want) != 300 || s.Store().Len() != 600 {
+		t.Fatalf("store holds %d entries, %d in class c; want 600 and 300", s.Store().Len(), len(want))
+	}
+	var got []server.AssertRequest
+	for after := 0; after < len(want); after += 70 {
+		page, err := c.MigrateSlice(ctx, "c0", after, 70)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if page.Total != len(want) || len(page.Nodes) != 301 || page.Nodes[0] != "c0" {
+			t.Fatalf("window after %d: total %d, %d nodes led by %q; want 300, 301, c0", after, page.Total, len(page.Nodes), page.Nodes[0])
+		}
+		if page.CRC != server.SliceChecksum(page.Entries) {
+			t.Fatalf("window after %d: checksum mismatch", after)
+		}
+		got = append(got, page.Entries...)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("slice windows tile %d entries that differ from the class's %d journal entries", len(got), len(want))
 	}
 }

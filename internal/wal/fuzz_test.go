@@ -19,13 +19,13 @@ func fuzzSeedImages() [][]byte {
 	c := DeltaCodec{}
 	clean := appendFrame(nil, encodeHeader(c.GroupID(), 0, 0))
 	for i, e := range consistentEntries(4, 42) {
-		clean = appendFrame(clean, encodeAssert(c, uint64(i+1), e))
+		clean = appendAssertFrame(clean, c, uint64(i+1), e)
 	}
 	torn := append(append([]byte{}, clean...), 0x99, 0x01)
 	corrupt := append([]byte{}, clean...)
 	corrupt[len(corrupt)/3] ^= 0xff
 	snapshot := appendFrame(nil, encodeHeader(c.GroupID(), 17, 0))
-	snapshot = appendFrame(snapshot, encodeAssert(c, 1, cert.Entry[string, int64]{N: "a", M: "b", Label: -3, Reason: "seed"}))
+	snapshot = appendAssertFrame(snapshot, c, 1, cert.Entry[string, int64]{N: "a", M: "b", Label: -3, Reason: "seed"})
 	return [][]byte{
 		clean,
 		torn,

@@ -114,31 +114,7 @@ func (il *IntentLog[N, L]) fold(r IntentRecord[N, L]) error {
 
 // appendDurable appends one intent frame and fsyncs it.
 func (il *IntentLog[N, L]) appendDurable(r IntentRecord[N, L]) error {
-	l := il.log
-	l.mu.Lock()
-	if l.failed != nil {
-		err := l.failed
-		l.mu.Unlock()
-		return err
-	}
-	frame := appendFrame(nil, encodeIntent(il.codec, r))
-	l.injMu.Lock()
-	n, injErr := l.inj.ObserveFrameWrite(len(frame))
-	l.injMu.Unlock()
-	if _, err := l.f.WriteAt(frame[:n], l.size); err != nil {
-		err = l.fail(fault.IOf("append intent: %v", err))
-		l.mu.Unlock()
-		return err
-	}
-	if injErr != nil {
-		l.size += int64(n)
-		err := l.fail(injErr)
-		l.mu.Unlock()
-		return err
-	}
-	l.size += int64(len(frame))
-	l.mu.Unlock()
-	return l.Sync()
+	return il.log.appendDurable(appendFrame(nil, encodeIntent(il.codec, r)), "append intent")
 }
 
 // Epoch returns the coordinator fencing epoch this open established.
@@ -179,59 +155,37 @@ func (il *IntentLog[N, L]) Decide(id uint64, state IntentState) error {
 	if state != IntentCommitted && state != IntentAborted {
 		return fault.Invariantf("decide intent %d: %v is not a decision", id, state)
 	}
-	il.mu.Lock()
-	cur, ok := il.intents[id]
-	if !ok {
-		il.mu.Unlock()
-		return fault.Invariantf("decide unknown intent %d", id)
-	}
-	if cur.State == state {
-		il.mu.Unlock()
-		return nil
-	}
-	if cur.State != IntentPending {
-		il.mu.Unlock()
-		return fault.Invariantf("decide intent %d as %v: already %v", id, state, cur.State)
-	}
-	epoch := il.epoch
-	il.mu.Unlock()
-	if err := il.appendDurable(IntentRecord[N, L]{ID: id, Epoch: epoch, State: state}); err != nil {
-		return err
-	}
-	il.mu.Lock()
-	cur = il.intents[id]
-	cur.State = state
-	il.intents[id] = cur
-	il.mu.Unlock()
-	return nil
+	return il.transition(id, state, IntentPending)
 }
 
 // MarkDone durably records that intent id's bridge edges are applied on
 // both shards. Only committed intents can be marked done; marking an
 // already-done intent is a no-op.
 func (il *IntentLog[N, L]) MarkDone(id uint64) error {
+	return il.transition(id, IntentDone, IntentCommitted)
+}
+
+// transition durably moves intent id from state from to state to; an
+// intent already in state to is left alone.
+func (il *IntentLog[N, L]) transition(id uint64, to, from IntentState) error {
 	il.mu.Lock()
 	cur, ok := il.intents[id]
-	if !ok {
-		il.mu.Unlock()
-		return fault.Invariantf("mark done: unknown intent %d", id)
-	}
-	if cur.State == IntentDone {
-		il.mu.Unlock()
-		return nil
-	}
-	if cur.State != IntentCommitted {
-		il.mu.Unlock()
-		return fault.Invariantf("mark done: intent %d is %v, not committed", id, cur.State)
-	}
 	epoch := il.epoch
 	il.mu.Unlock()
-	if err := il.appendDurable(IntentRecord[N, L]{ID: id, Epoch: epoch, State: IntentDone}); err != nil {
+	switch {
+	case !ok:
+		return fault.Invariantf("%v record for unknown intent %d", to, id)
+	case cur.State == to:
+		return nil
+	case cur.State != from:
+		return fault.Invariantf("%v record for intent %d in state %v, want %v", to, id, cur.State, from)
+	}
+	if err := il.appendDurable(IntentRecord[N, L]{ID: id, Epoch: epoch, State: to}); err != nil {
 		return err
 	}
 	il.mu.Lock()
 	cur = il.intents[id]
-	cur.State = IntentDone
+	cur.State = to
 	il.intents[id] = cur
 	il.mu.Unlock()
 	return nil

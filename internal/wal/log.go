@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"luf/internal/cert"
@@ -144,29 +143,49 @@ func (l *Log) Size() int64 {
 func appendRecordAt[N comparable, L any](l *Log, c Codec[N, L], seq uint64, e cert.Entry[N, L]) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.failed != nil {
-		return l.failed
-	}
 	if seq <= l.seq {
 		return l.fail(fault.Invariantf("journal append at sequence %d, file already at %d", seq, l.seq))
 	}
-	frame := appendFrame(nil, encodeAssert(c, seq, e))
+	if err := l.writeLocked(appendAssertFrame(nil, c, seq, e), "append"); err != nil {
+		return err
+	}
+	l.seq = seq
+	return nil
+}
+
+// writeLocked writes one frame at the end of the file through the
+// fault injector; what names the record kind in errors. Callers hold
+// mu.
+func (l *Log) writeLocked(frame []byte, what string) error {
+	if l.failed != nil {
+		return l.failed
+	}
 	l.injMu.Lock()
 	n, injErr := l.inj.ObserveFrameWrite(len(frame))
 	l.injMu.Unlock()
 	if _, err := l.f.WriteAt(frame[:n], l.size); err != nil {
-		return l.fail(fault.IOf("append: %v", err))
+		return l.fail(fault.IOf("%s: %v", what, err))
 	}
+	// An injected tear leaves its prefix on disk, exactly as a crash
+	// mid-write would; the log is then failed and the next open repairs
+	// the tear.
+	l.size += int64(n)
 	if injErr != nil {
-		// The torn prefix is on disk, exactly as a crash mid-write
-		// would leave it; the log is now failed and the next open
-		// repairs the tear.
-		l.size += int64(n)
 		return l.fail(injErr)
 	}
-	l.size += int64(len(frame))
-	l.seq = seq
 	return nil
+}
+
+// appendDurable writes one frame and fsyncs it (the intent and
+// migration logs make every record durable before acting on it).
+func (l *Log) appendDurable(frame []byte, what string) error {
+	l.mu.Lock()
+	err := l.writeLocked(frame, what)
+	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return l.Sync()
 }
 
 // appendFence writes one fence record. Fence records carry no sequence
@@ -175,29 +194,13 @@ func appendRecordAt[N comparable, L any](l *Log, c Codec[N, L], seq uint64, e ce
 func (l *Log) appendFence(token uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.failed != nil {
-		return l.failed
-	}
-	frame := appendFrame(nil, encodeFence(token))
-	l.injMu.Lock()
-	n, injErr := l.inj.ObserveFrameWrite(len(frame))
-	l.injMu.Unlock()
-	if _, err := l.f.WriteAt(frame[:n], l.size); err != nil {
-		return l.fail(fault.IOf("append fence: %v", err))
-	}
-	if injErr != nil {
-		l.size += int64(n)
-		return l.fail(injErr)
-	}
-	l.size += int64(len(frame))
-	return nil
+	return l.writeLocked(appendFrame(nil, encodeFence(token)), "append fence")
 }
 
 // Rewrite atomically replaces the whole journal file with image (used
-// by Store.Trim to drop the snapshot-covered prefix): the image is
-// staged under a temporary name, fsynced, renamed over the live file,
-// and the directory fsynced, so a crash at any point leaves either the
-// old complete journal or the new one. lastSeq is the highest sequence
+// by Store.Trim to drop the snapshot-covered prefix; see replaceFile),
+// so a crash at any point leaves either the old complete journal or
+// the new one. lastSeq is the highest sequence
 // number the image accounts for (its trim base plus its records);
 // appends resume above it.
 func (l *Log) Rewrite(image []byte, lastSeq uint64) error {
@@ -211,28 +214,9 @@ func (l *Log) Rewrite(image []byte, lastSeq uint64) error {
 	if lastSeq < l.seq {
 		return l.fail(fault.Invariantf("journal rewrite to sequence %d would lose records up to %d", lastSeq, l.seq))
 	}
-	tmp := l.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := replaceFile(l.path+".tmp", l.path, image, "rewrite")
 	if err != nil {
-		return l.fail(fault.IOf("rewrite: create %s: %v", tmp, err))
-	}
-	if _, err := f.Write(image); err != nil {
-		f.Close()
-		return l.fail(fault.IOf("rewrite: write %s: %v", tmp, err))
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return l.fail(fault.IOf("rewrite: sync %s: %v", tmp, err))
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		f.Close()
-		return l.fail(fault.IOf("rewrite: rename %s: %v", l.path, err))
-	}
-	if d, err := os.Open(filepath.Dir(l.path)); err == nil {
-		// Persist the rename itself; ignore fsync errors on platforms
-		// that reject directory syncs.
-		_ = d.Sync()
-		d.Close()
+		return l.fail(err)
 	}
 	old := l.f
 	l.f = f

@@ -138,31 +138,7 @@ func (ml *MigrationLog[N, L]) fold(r MigrationRecord[N]) error {
 
 // appendDurable appends one migration frame and fsyncs it.
 func (ml *MigrationLog[N, L]) appendDurable(r MigrationRecord[N]) error {
-	l := ml.log
-	l.mu.Lock()
-	if l.failed != nil {
-		err := l.failed
-		l.mu.Unlock()
-		return err
-	}
-	frame := appendFrame(nil, encodeMigration(ml.codec, r))
-	l.injMu.Lock()
-	n, injErr := l.inj.ObserveFrameWrite(len(frame))
-	l.injMu.Unlock()
-	if _, err := l.f.WriteAt(frame[:n], l.size); err != nil {
-		err = l.fail(fault.IOf("append migration: %v", err))
-		l.mu.Unlock()
-		return err
-	}
-	if injErr != nil {
-		l.size += int64(n)
-		err := l.fail(injErr)
-		l.mu.Unlock()
-		return err
-	}
-	l.size += int64(len(frame))
-	l.mu.Unlock()
-	return l.Sync()
+	return ml.log.appendDurable(appendFrame(nil, encodeMigration(ml.codec, r)), "append migration")
 }
 
 // Epoch returns the fencing epoch this open established.

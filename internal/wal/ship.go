@@ -28,7 +28,7 @@ type SeqEntry[N comparable, L any] struct {
 func EncodeFrames[N comparable, L any](c Codec[N, L], recs []SeqEntry[N, L]) []byte {
 	var out []byte
 	for _, r := range recs {
-		out = appendFrame(out, encodeAssert(c, r.Seq, r.Entry))
+		out = appendAssertFrame(out, c, r.Seq, r.Entry)
 	}
 	return out
 }
@@ -91,5 +91,5 @@ func DecodeFrames[N comparable, L any](image []byte, c Codec[N, L]) ([]SeqEntry[
 // the primary's before appending — the log-matching check that turns
 // silent divergence into a structured refusal.
 func RecordCRC[N comparable, L any](c Codec[N, L], r SeqEntry[N, L]) uint32 {
-	return crc32.Checksum(encodeAssert(c, r.Seq, r.Entry), castagnoli)
+	return binary.LittleEndian.Uint32(appendAssertFrame(nil, c, r.Seq, r.Entry)[4:frameOverhead])
 }

@@ -51,7 +51,7 @@ func TestShipFramesRefuseAnyDamage(t *testing.T) {
 	boundaries := map[int]bool{}
 	off := 0
 	for _, r := range shipRecords(1, 2, 3) {
-		off += frameOverhead + len(encodeAssert(c, r.Seq, r.Entry))
+		off += len(appendAssertFrame(nil, c, r.Seq, r.Entry))
 		boundaries[off] = true
 	}
 	for cut := 1; cut < len(body); cut++ {

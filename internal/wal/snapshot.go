@@ -29,35 +29,46 @@ const (
 func writeSnapshot[N comparable, L any](dir string, c Codec[N, L], recs []SeqEntry[N, L], coversSeq, fence uint64) error {
 	image := appendFrame(nil, encodeHeader(c.GroupID(), coversSeq, fence))
 	for _, r := range recs {
-		image = appendFrame(image, encodeAssert(c, r.Seq, r.Entry))
+		image = appendAssertFrame(image, c, r.Seq, r.Entry)
 	}
-	tmp := filepath.Join(dir, snapshotTmp)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := replaceFile(filepath.Join(dir, snapshotTmp), filepath.Join(dir, snapshotName), image, "snapshot")
 	if err != nil {
-		return fault.IOf("snapshot: create %s: %v", tmp, err)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return fault.IOf("snapshot: close %s: %v", f.Name(), err)
+	}
+	return nil
+}
+
+// replaceFile atomically replaces path with image: the image is staged
+// in tmp, fsynced, renamed over path, and the directory fsynced, so a
+// crash at any point leaves either the old complete file or the new
+// one. It returns the new file, open for writing; op prefixes errors.
+func replaceFile(tmp, path string, image []byte, op string) (*os.File, error) {
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, fault.IOf("%s: create %s: %v", op, tmp, err)
 	}
 	if _, err := f.Write(image); err != nil {
 		f.Close()
-		return fault.IOf("snapshot: write %s: %v", tmp, err)
+		return nil, fault.IOf("%s: write %s: %v", op, tmp, err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fault.IOf("snapshot: sync %s: %v", tmp, err)
+		return nil, fault.IOf("%s: sync %s: %v", op, tmp, err)
 	}
-	if err := f.Close(); err != nil {
-		return fault.IOf("snapshot: close %s: %v", tmp, err)
+	if err := os.Rename(tmp, path); err != nil {
+		f.Close()
+		return nil, fault.IOf("%s: rename %s: %v", op, path, err)
 	}
-	final := filepath.Join(dir, snapshotName)
-	if err := os.Rename(tmp, final); err != nil {
-		return fault.IOf("snapshot: rename %s: %v", final, err)
-	}
-	if d, err := os.Open(dir); err == nil {
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		// Persist the rename itself; ignore fsync errors on platforms
 		// that reject directory syncs.
 		_ = d.Sync()
 		d.Close()
 	}
-	return nil
+	return f, nil
 }
 
 // readSnapshot loads and decodes the snapshot file, if any. Because

@@ -18,6 +18,11 @@ import (
 // an in-memory sequence-ordered mirror of every persisted record for
 // snapshotting and log shipping. It is safe for concurrent use.
 //
+// The store keeps no entry list or dedup index of its own: it dedups
+// against the certificate journal its recovery built (Recovered.Journal,
+// which serving keeps recording into), marking an assertion persisted
+// there once its record is written.
+//
 // Sequence numbers are global, not per-file: a record keeps the number
 // it was first assigned through snapshots, journal trims and
 // replication, so "the record at sequence 17" means the same assertion
@@ -33,9 +38,9 @@ type Store[N comparable, L any] struct {
 	seq         uint64 // last allocated sequence number
 	fence       uint64 // highest accepted fencing token
 	records     []SeqEntry[N, L]
-	entries     []cert.Entry[N, L]
-	seen        map[string]bool
-	snapshotSeq uint64 // CoversSeq of the newest snapshot on disk
+	journal     *cert.SyncJournal[N, L] // dedup index and persisted marks
+	firsts      []int                   // records index of each distinct assertion's first copy
+	snapshotSeq uint64                  // CoversSeq of the newest snapshot on disk
 
 	snapMu sync.Mutex // serializes snapshot writes and trims
 }
@@ -96,20 +101,18 @@ func Open[N comparable, L any](dir string, g group.Group[L], c Codec[N, L], opts
 		return nil, nil, fault.IOf(
 			"store %s: journal was trimmed to sequence %d but the snapshot covers only %d — the covering snapshot is missing or stale, so records are gone; restore the snapshot or resync from a replica", dir, base, covers)
 	}
-	var records []SeqEntry[N, L]
+	// Journal records are in sequence order; replay only those beyond
+	// the snapshot's coverage.
+	tail := jres.Records[sort.Search(len(jres.Records), func(i int) bool { return jres.Records[i].Seq > covers }):]
+	records := make([]SeqEntry[N, L], 0, len(snap.Records)+len(tail))
 	for _, r := range snap.Records {
 		records = append(records, SeqEntry[N, L]{Seq: r.Seq, Entry: r.Entry})
 	}
-	for _, r := range jres.Records {
-		if r.Seq > covers {
-			records = append(records, SeqEntry[N, L]{Seq: r.Seq, Entry: r.Entry})
-		}
+	for _, r := range tail {
+		records = append(records, SeqEntry[N, L]{Seq: r.Seq, Entry: r.Entry})
 	}
-	entries := make([]cert.Entry[N, L], 0, len(records))
-	for _, r := range records {
-		entries = append(entries, r.Entry)
-	}
-	uf, journal, err := Rebuild(g, entries)
+	at := func(i int) cert.Entry[N, L] { return records[i].Entry }
+	uf, journal, err := rebuild(g, len(records), at)
 	if err != nil {
 		log.Close()
 		return nil, nil, fmt.Errorf("recovery of %s: %w", dir, err)
@@ -120,15 +123,11 @@ func Open[N comparable, L any](dir string, g group.Group[L], c Codec[N, L], opts
 		codec:       c,
 		log:         log,
 		records:     records,
-		seen:        map[string]bool{},
+		journal:     journal,
 		snapshotSeq: covers,
-	}
-	// The deduplicated journal, not the raw record list, seeds the
-	// store's distinct-entry set (the record list may legitimately hold
-	// the same relation more than once across a failover boundary).
-	for _, e := range journal.Entries() {
-		s.entries = append(s.entries, e)
-		s.seen[s.key(e)] = true
+		// The record list may hold one relation more than once across a
+		// failover boundary; the journal holds it once.
+		firsts: journal.MarkReplayed(len(records), at),
 	}
 	// Appends must resume above both the journal tail and the snapshot
 	// coverage (the journal file may have been truncated below the
@@ -145,7 +144,7 @@ func Open[N comparable, L any](dir string, g group.Group[L], c Codec[N, L], opts
 	rec := &Recovered[N, L]{
 		UF:            uf,
 		Journal:       journal,
-		Entries:       len(s.entries),
+		Entries:       len(s.firsts),
 		FromSnapshot:  len(snap.Records),
 		TailTruncated: jres.TornBytes,
 		LastSeq:       s.seq,
@@ -162,6 +161,12 @@ func Open[N comparable, L any](dir string, g group.Group[L], c Codec[N, L], opts
 // it identically. Any divergence — a conflicting record, an unprovable
 // record, a wrong structure answer — aborts with a structured error.
 func Rebuild[N comparable, L any](g group.Group[L], entries []cert.Entry[N, L]) (*concurrent.UF[N, L], *cert.SyncJournal[N, L], error) {
+	return rebuild(g, len(entries), func(i int) cert.Entry[N, L] { return entries[i] })
+}
+
+// rebuild is Rebuild over n entries read through at, so recovery
+// replays its record mirror without copying it into an entry list.
+func rebuild[N comparable, L any](g group.Group[L], n int, at func(i int) cert.Entry[N, L]) (*concurrent.UF[N, L], *cert.SyncJournal[N, L], error) {
 	journal := cert.NewSyncJournal[N, L](g)
 	uf := concurrent.New[N, L](g, concurrent.WithRecorder[N, L](journal.Record))
 	replayOne := func(i int, e cert.Entry[N, L]) (err error) {
@@ -174,12 +179,13 @@ func Rebuild[N comparable, L any](g group.Group[L], entries []cert.Entry[N, L]) 
 		}
 		return nil
 	}
-	for i, e := range entries {
-		if err := replayOne(i, e); err != nil {
+	for i := range n {
+		if err := replayOne(i, at(i)); err != nil {
 			return nil, nil, fmt.Errorf("replay: %w", err)
 		}
 	}
-	for i, e := range entries {
+	for i := range n {
+		e := at(i)
 		c, err := journal.Explain(e.N, e.M)
 		if err != nil {
 			return nil, nil, fault.Invariantf("certify: record %d (%v -> %v): no derivation: %v", i, e.N, e.M, err)
@@ -198,18 +204,14 @@ func Rebuild[N comparable, L any](g group.Group[L], entries []cert.Entry[N, L]) 
 	return uf, journal, nil
 }
 
-// key builds the deduplication key of an entry.
-func (s *Store[N, L]) key(e cert.Entry[N, L]) string {
-	return string(s.codec.EncodeNode(e.N)) + "\x00" + string(s.codec.EncodeNode(e.M)) + "\x00" + s.g.Key(e.Label)
-}
-
 // Append persists one accepted assertion under a freshly allocated
 // sequence number and returns that number to pass to Commit. Duplicate
 // assertions (same endpoints and label) are not rewritten; the
 // returned sequence number still guarantees, once committed, that the
-// assertion is durable. The in-memory mirror registers the record only
-// after the journal write succeeds, so it never claims a sequence
-// number the disk and the replicas will not see.
+// assertion is durable. The in-memory mirror registers the record, and
+// the certificate journal marks the assertion persisted, only after the
+// journal write succeeds, so neither claims a record the disk and the
+// replicas will not see.
 func (s *Store[N, L]) Append(e cert.Entry[N, L]) (uint64, error) {
 	// s.mu stays held across the journal write: sequence allocation and
 	// the file append must not interleave with a concurrent Trim
@@ -217,7 +219,7 @@ func (s *Store[N, L]) Append(e cert.Entry[N, L]) (uint64, error) {
 	// in Commit, which this does not serialize.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.seen[s.key(e)] {
+	if s.journal.Persisted(e) {
 		return s.seq, s.log.Err()
 	}
 	seq := s.seq + 1
@@ -225,8 +227,8 @@ func (s *Store[N, L]) Append(e cert.Entry[N, L]) (uint64, error) {
 		return 0, err
 	}
 	s.seq = seq
-	s.seen[s.key(e)] = true
-	s.entries = append(s.entries, e)
+	s.journal.MarkPersisted(e)
+	s.firsts = append(s.firsts, len(s.records))
 	s.records = append(s.records, SeqEntry[N, L]{Seq: seq, Entry: e})
 	return seq, nil
 }
@@ -244,7 +246,7 @@ func (s *Store[N, L]) AppendReplicated(seq uint64, e cert.Entry[N, L]) error {
 	defer s.mu.Unlock()
 	if seq <= s.seq {
 		if r, ok := s.recordAtLocked(seq); ok {
-			if s.key(r.Entry) != s.key(e) || r.Entry.Reason != e.Reason {
+			if r.Entry.N != e.N || r.Entry.M != e.M || !s.g.Equal(r.Entry.Label, e.Label) || r.Entry.Reason != e.Reason {
 				return &DivergenceError{
 					Seq:       seq,
 					LocalCRC:  RecordCRC(s.codec, r),
@@ -262,9 +264,8 @@ func (s *Store[N, L]) AppendReplicated(seq uint64, e cert.Entry[N, L]) error {
 		return err
 	}
 	s.seq = seq
-	if !s.seen[s.key(e)] {
-		s.seen[s.key(e)] = true
-		s.entries = append(s.entries, e)
+	if s.journal.MarkPersisted(e) {
+		s.firsts = append(s.firsts, len(s.records))
 	}
 	s.records = append(s.records, SeqEntry[N, L]{Seq: seq, Entry: e})
 	return nil
@@ -348,7 +349,7 @@ func (s *Store[N, L]) Err() error { return s.log.Err() }
 func (s *Store[N, L]) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return len(s.firsts)
 }
 
 // LastSeq returns the last allocated journal sequence number.
@@ -379,13 +380,29 @@ func (s *Store[N, L]) JournalSize() int64 { return s.log.Size() }
 // it to frame shipped records exactly as the journal stores them).
 func (s *Store[N, L]) Codec() Codec[N, L] { return s.codec }
 
-// Entries returns a copy of the distinct persisted assertions.
+// Entries returns a copy of the distinct persisted assertions in
+// sequence order, each as its first persisted record holds it.
 func (s *Store[N, L]) Entries() []cert.Entry[N, L] {
+	out := make([]cert.Entry[N, L], s.Len())
+	return out[:s.ReadEntries(out, 0)]
+}
+
+// ReadEntries copies the distinct persisted assertions at positions
+// from, from+1, … of the Entries order into dst and returns how many it
+// copied (fewer than len(dst) at the end of the list). Positions are
+// stable — the list only grows — so callers page through it, or sample
+// a window of it, without copying the whole list.
+func (s *Store[N, L]) ReadEntries(dst []cert.Entry[N, L], from int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]cert.Entry[N, L], len(s.entries))
-	copy(out, s.entries)
-	return out
+	if from < 0 || from >= len(s.firsts) {
+		return 0
+	}
+	n := min(len(dst), len(s.firsts)-from)
+	for i, p := range s.firsts[from : from+n] {
+		dst[i] = s.records[p].Entry
+	}
+	return n
 }
 
 // Snapshot writes a snapshot covering every assertion appended so far
@@ -434,7 +451,7 @@ func (s *Store[N, L]) Trim() error {
 	image := appendFrame(nil, encodeHeader(s.codec.GroupID(), base, s.fence))
 	for _, r := range s.records {
 		if r.Seq > base {
-			image = appendFrame(image, encodeAssert(s.codec, r.Seq, r.Entry))
+			image = appendAssertFrame(image, s.codec, r.Seq, r.Entry)
 		}
 	}
 	return s.log.Rewrite(image, s.seq)

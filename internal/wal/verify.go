@@ -36,23 +36,11 @@ func VerifyDir[N comparable, L any](dir string, c Codec[N, L]) (int, error) {
 	if res.HasHeader {
 		frames++
 	}
-	spath := filepath.Join(dir, snapshotName)
-	simage, err := os.ReadFile(spath)
-	if errors.Is(err, os.ErrNotExist) {
-		return frames, nil
-	}
-	if err != nil {
-		return frames, fault.IOf("verify: read %s: %v", spath, err)
-	}
-	sres, err := DecodeAll(simage, c)
-	if err != nil {
+	sres, hasSnap, err := readSnapshot(dir, c, nil)
+	if err != nil || !hasSnap {
 		return frames, err
 	}
-	if !sres.HasHeader || sres.TornBytes > 0 {
-		return frames, fault.IOf("verify: snapshot %s is damaged (%d valid bytes, %d torn): snapshots are written atomically, so this is corruption", spath, sres.ValidLen, sres.TornBytes)
-	}
-	frames += len(sres.Records) + 1
-	return frames, nil
+	return frames + len(sres.Records) + 1, nil
 }
 
 // VerifyAuxLog re-reads one auxiliary coordinator log (a two-phase

@@ -47,6 +47,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"luf/internal/cert"
 	"luf/internal/fault"
@@ -328,15 +329,25 @@ func encodeFence(token uint64) []byte {
 	return binary.AppendUvarint(p, token)
 }
 
-// encodeAssert builds an assertion record payload.
-func encodeAssert[N comparable, L any](c Codec[N, L], seq uint64, e cert.Entry[N, L]) []byte {
-	p := []byte{recAssert}
-	p = binary.AppendUvarint(p, seq)
-	p = appendString(p, c.EncodeNode(e.N))
-	p = appendString(p, c.EncodeNode(e.M))
-	p = appendString(p, c.EncodeLabel(e.Label))
-	p = appendString(p, []byte(e.Reason))
-	return p
+// appendAssertFrame appends the frame of one assertion record to dst,
+// encoding the payload in place behind the frame header, so a record
+// costs one buffer beyond its codec-encoded fields.
+func appendAssertFrame[N comparable, L any](dst []byte, c Codec[N, L], seq uint64, e cert.Entry[N, L]) []byte {
+	nb, mb, lb := c.EncodeNode(e.N), c.EncodeNode(e.M), c.EncodeLabel(e.Label)
+	start := len(dst)
+	dst = slices.Grow(dst, frameOverhead+1+5*binary.MaxVarintLen64+len(nb)+len(mb)+len(lb)+len(e.Reason))
+	dst = dst[:start+frameOverhead]
+	dst = append(dst, recAssert)
+	dst = binary.AppendUvarint(dst, seq)
+	dst = appendString(dst, nb)
+	dst = appendString(dst, mb)
+	dst = appendString(dst, lb)
+	dst = binary.AppendUvarint(dst, uint64(len(e.Reason)))
+	dst = append(dst, e.Reason...)
+	payload := dst[start+frameOverhead:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
 }
 
 // encodeIntent builds an intent record payload. Only pending records
@@ -376,28 +387,8 @@ func decodeIntent[N comparable, L any](c Codec[N, L], cur *cursor) (IntentRecord
 		return r, err
 	}
 	if r.State == IntentPending {
-		ga, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		gb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		nb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		mb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		lb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		rb, err := cur.bytes()
-		if err != nil {
+		var ga, gb, nb, mb, lb, rb []byte
+		if err := cur.fields(&ga, &gb, &nb, &mb, &lb, &rb); err != nil {
 			return r, err
 		}
 		r.GroupA, r.GroupB = string(ga), string(gb)
@@ -463,20 +454,8 @@ func decodeMigration[N comparable, L any](c Codec[N, L], cur *cursor) (Migration
 	}
 	switch r.State {
 	case MigrationPlanned:
-		cb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		fb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		tb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		rb, err := cur.bytes()
-		if err != nil {
+		var cb, fb, tb, rb []byte
+		if err := cur.fields(&cb, &fb, &tb, &rb); err != nil {
 			return r, err
 		}
 		if r.Class, err = c.DecodeNode(cb); err != nil {
@@ -551,6 +530,18 @@ func (c *cursor) bytes() ([]byte, error) {
 	return b, nil
 }
 
+// fields reads consecutive byte strings into dst, in order.
+func (c *cursor) fields(dst ...*[]byte) error {
+	for _, d := range dst {
+		b, err := c.bytes()
+		if err != nil {
+			return err
+		}
+		*d = b
+	}
+	return nil
+}
+
 func (c *cursor) done() error {
 	if c.off != len(c.b) {
 		return fmt.Errorf("%d trailing bytes after record", len(c.b)-c.off)
@@ -603,20 +594,8 @@ func decodeAssert[N comparable, L any](c Codec[N, L], cur *cursor) (uint64, cert
 	if err != nil {
 		return 0, e, err
 	}
-	nb, err := cur.bytes()
-	if err != nil {
-		return 0, e, err
-	}
-	mb, err := cur.bytes()
-	if err != nil {
-		return 0, e, err
-	}
-	lb, err := cur.bytes()
-	if err != nil {
-		return 0, e, err
-	}
-	rb, err := cur.bytes()
-	if err != nil {
+	var nb, mb, lb, rb []byte
+	if err := cur.fields(&nb, &mb, &lb, &rb); err != nil {
 		return 0, e, err
 	}
 	if err := cur.done(); err != nil {
@@ -662,6 +641,21 @@ type DecodeResult[N comparable, L any] struct {
 	TornBytes int
 }
 
+// countFrames counts the frames whose declared lengths chain through
+// image, without checking them: an upper bound on the records a decode
+// of image finds, used to size the record slice once.
+func countFrames(image []byte) int {
+	n := 0
+	for off := 0; len(image)-off >= frameOverhead; n++ {
+		plen := int(binary.LittleEndian.Uint32(image[off : off+4]))
+		if plen == 0 || plen > len(image)-off-frameOverhead {
+			break
+		}
+		off += frameOverhead + plen
+	}
+	return n
+}
+
 // DecodeAll parses a whole journal or snapshot image. It never panics.
 // Torn tails (see the package comment's crash semantics) are reported
 // through TornBytes with a nil error; mid-file damage — a bad checksum
@@ -705,6 +699,9 @@ func DecodeAll[N comparable, L any](image []byte, c Codec[N, L]) (DecodeResult[N
 		if err != nil {
 			return fail("%v", err)
 		}
+		if typ != recHeader && !res.HasHeader {
+			return fail("record of type %d before header", typ)
+		}
 		switch typ {
 		case recHeader:
 			if res.HasHeader {
@@ -725,9 +722,6 @@ func DecodeAll[N comparable, L any](image []byte, c Codec[N, L]) (DecodeResult[N
 				res.Fence = h.Fence
 			}
 		case recFence:
-			if !res.HasHeader {
-				return fail("fence record before header")
-			}
 			token, err := cur.uvarint()
 			if err != nil {
 				return fail("fence: %v", err)
@@ -739,9 +733,6 @@ func DecodeAll[N comparable, L any](image []byte, c Codec[N, L]) (DecodeResult[N
 				res.Fence = token
 			}
 		case recAssert:
-			if !res.HasHeader {
-				return fail("assertion record before header")
-			}
 			seq, e, err := decodeAssert(c, cur)
 			if err != nil {
 				return fail("assertion: %v", err)
@@ -750,22 +741,19 @@ func DecodeAll[N comparable, L any](image []byte, c Codec[N, L]) (DecodeResult[N
 				return fail("sequence %d not above predecessor %d", seq, lastSeq)
 			}
 			lastSeq = seq
+			if res.Records == nil {
+				res.Records = make([]Record[N, L], 0, countFrames(image[off:]))
+			}
 			res.Records = append(res.Records, Record[N, L]{
 				Seq: seq, Entry: e, Off: off + frameOverhead, Len: plen,
 			})
 		case recIntent:
-			if !res.HasHeader {
-				return fail("intent record before header")
-			}
 			r, err := decodeIntent(c, cur)
 			if err != nil {
 				return fail("intent: %v", err)
 			}
 			res.Intents = append(res.Intents, r)
 		case recMigration:
-			if !res.HasHeader {
-				return fail("migration record before header")
-			}
 			r, err := decodeMigration(c, cur)
 			if err != nil {
 				return fail("migration: %v", err)

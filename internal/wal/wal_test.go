@@ -320,7 +320,7 @@ func TestDecodeAllTornAndCorrupt(t *testing.T) {
 	c := DeltaCodec{}
 	image := appendFrame(nil, encodeHeader(c.GroupID(), 0, 0))
 	for i, e := range consistentEntries(5, 5) {
-		image = appendFrame(image, encodeAssert(c, uint64(i+1), e))
+		image = appendAssertFrame(image, c, uint64(i+1), e)
 	}
 	full, err := DecodeAll(image, c)
 	if err != nil || len(full.Records) != 5 || full.TornBytes != 0 {
