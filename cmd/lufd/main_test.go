@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -296,6 +297,17 @@ func TestLufdSelfHealFlags(t *testing.T) {
 	}
 }
 
+// awaitFirstAck blocks until the load has at least one acknowledged
+// write, or 10 s pass: a kill under load must land after the first
+// acknowledgement however slow the machine. On timeout the caller's
+// load-premise check reports the failure.
+func awaitFirstAck(acked *atomic.Int64) {
+	deadline := time.Now().Add(10 * time.Second)
+	for acked.Load() < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestLufdFailoverNoCertifiedAnswerLost is the end-to-end failover
 // acceptance test: a primary replicating synchronously to a follower
 // is killed mid-load; the follower is promoted under a fencing token;
@@ -320,6 +332,7 @@ func TestLufdFailoverNoCertifiedAnswerLost(t *testing.T) {
 		label int64
 	}
 	var acked []fact // goroutine-owned until loadDone closes
+	var nAcked atomic.Int64
 	loadDone := make(chan struct{})
 	go func() {
 		defer close(loadDone)
@@ -329,9 +342,10 @@ func TestLufdFailoverNoCertifiedAnswerLost(t *testing.T) {
 				return // the primary died mid-load
 			}
 			acked = append(acked, ft)
+			nAcked.Add(1)
 		}
 	}()
-	time.Sleep(150 * time.Millisecond)
+	awaitFirstAck(&nAcked)
 	p.stop() // the primary goes away under load
 	<-loadDone
 	if len(acked) == 0 {
@@ -430,6 +444,7 @@ func TestLufdPipelinedFailoverNoCertifiedAnswerLost(t *testing.T) {
 	}
 	const writers = 4
 	ackedBy := make([][]fact, writers) // slice w is goroutine-owned until wg.Wait
+	var nAcked atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -444,10 +459,11 @@ func TestLufdPipelinedFailoverNoCertifiedAnswerLost(t *testing.T) {
 					return // the primary died mid-load
 				}
 				ackedBy[w] = append(ackedBy[w], ft)
+				nAcked.Add(1)
 			}
 		}(w)
 	}
-	time.Sleep(250 * time.Millisecond)
+	awaitFirstAck(&nAcked)
 	p.stop() // the primary goes away with the pipeline full
 	wg.Wait()
 	var acked []fact

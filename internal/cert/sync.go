@@ -43,15 +43,24 @@ func (s *SyncJournal[N, L]) Len() int {
 	return s.j.Len()
 }
 
-// Entries returns a copy of the recorded assertions — unlike
-// Journal.Entries the slice is the caller's to keep, since the journal
-// may keep growing concurrently.
+// Entries returns a copy of the recorded assertions; see
+// Journal.Entries.
 func (s *SyncJournal[N, L]) Entries() []Entry[N, L] {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Entry[N, L], s.j.Len())
-	copy(out, s.j.Entries())
-	return out
+	return s.j.Entries()
+}
+
+// EntriesAt sets dst[k] to the entry at index ids[k], for every
+// k < len(dst), under one read lock. Indices are those MarkPersisted
+// and MarkReplayed report: a store keeps them instead of entry copies
+// and materializes its records through this call.
+func (s *SyncJournal[N, L]) EntriesAt(dst []Entry[N, L], ids []int32) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for k, idx := range ids[:len(dst)] {
+		dst[k] = s.j.entryAt(idx)
+	}
 }
 
 // Persisted reports whether a store has marked an assertion with e's
@@ -60,44 +69,55 @@ func (s *SyncJournal[N, L]) Persisted(e Entry[N, L]) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	i := s.j.find(e.N, e.M, e.Label)
-	return i >= 0 && s.j.persisted[i]
+	return i >= 0 && s.j.isPersisted(i)
 }
 
 // MarkPersisted marks the assertion e persisted, recording it first
 // when the journal lacks it (a store appending assertions no recording
-// union-find saw). It reports whether the mark is new: false means an
-// equal assertion was already persisted. A store calls it only once
-// e's record is written, so a failed append leaves the entry unmarked.
-func (s *SyncJournal[N, L]) MarkPersisted(e Entry[N, L]) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := s.j.find(e.N, e.M, e.Label)
-	if i < 0 {
-		i = s.j.add(e.N, e.M, e.Label, e.Reason)
-	}
-	fresh := !s.j.persisted[i]
-	s.j.persisted[i] = true
-	return fresh
-}
-
-// MarkReplayed marks persisted every entry of a journal rebuilt by
-// replaying n records in order, where at(p) is record p, and returns
-// the position of each entry's first record, in journal order. The
-// journal then holds the records' distinct assertions in
-// first-occurrence order, so one merge pass with a single comparison
-// per record matches every entry to its first record; a record equal
-// to no pending entry duplicates an earlier one.
-func (s *SyncJournal[N, L]) MarkReplayed(n int, at func(p int) Entry[N, L]) []int {
+// union-find saw). It returns the entry's index, whether the mark is
+// new (false means an equal assertion was already persisted), and
+// whether the entry's reason is e.Reason (false when an equal
+// assertion was recorded first under another reason). A store calls it
+// only once e's record is written, so a failed append leaves the entry
+// unmarked.
+func (s *SyncJournal[N, L]) MarkPersisted(e Entry[N, L]) (idx int32, fresh, sameReason bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.j
-	firsts := make([]int, 0, len(j.entries))
-	for p := 0; p < n && len(firsts) < len(j.entries); p++ {
-		e := &j.entries[len(firsts)]
-		if r := at(p); r.N == e.N && r.M == e.M && j.g.Equal(r.Label, e.Label) {
-			j.persisted[len(firsts)] = true
-			firsts = append(firsts, p)
+	x, y := j.intern(e.N), j.intern(e.M)
+	idx = j.findIDs(x, y, e.Label)
+	if idx < 0 {
+		idx = j.add(x, y, e.Label, e.Reason)
+	}
+	fresh = !j.isPersisted(idx)
+	j.markPersisted(idx)
+	return idx, fresh, j.entries[idx].reason == e.Reason
+}
+
+// MarkReplayed marks persisted every entry of a journal rebuilt by
+// replaying n records in order, where at(p) is record p. It sets
+// ids[p] to the index of record p's entry, for every p < n, and
+// returns the position of each entry's first record, in journal order.
+// The journal then holds the records' distinct assertions in
+// first-occurrence order, so one merge pass with a single comparison
+// per record matches every entry to its first record; a record equal
+// to no pending entry duplicates an earlier one and is looked up.
+func (s *SyncJournal[N, L]) MarkReplayed(n int, at func(p int) Entry[N, L], ids []int32) []int32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.j
+	firsts := make([]int32, 0, len(j.entries))
+	for p := 0; p < n; p++ {
+		r := at(p)
+		if next := int32(len(firsts)); int(next) < len(j.entries) {
+			if e := &j.entries[next]; r.N == j.nodes[e.n].name && r.M == j.nodes[e.m].name && j.g.Equal(r.Label, e.label) {
+				j.markPersisted(next)
+				firsts = append(firsts, int32(p))
+				ids[p] = next
+				continue
+			}
 		}
+		ids[p] = j.find(r.N, r.M, r.Label)
 	}
 	return firsts
 }

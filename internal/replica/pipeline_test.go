@@ -118,6 +118,59 @@ func TestFollowerCrashBetweenApplyAndAck(t *testing.T) {
 	}
 }
 
+// TestCumulativeAckResolvesInFlightBatches pins what Status reports as
+// in flight: batches posted but not yet covered by a watermark
+// acknowledgement, not outstanding HTTP posts. With a full pipeline
+// whose posts the follower holds open, one cumulative acknowledgement
+// of the primary's tail must resolve every batch at once, before any
+// post returns.
+func TestCumulativeAckResolvesInFlightBatches(t *testing.T) {
+	entries := consistentEntries(32, 25)
+	p := primary(t, entries)
+	f := newNode(t, t.TempDir(), wal.Options{})
+
+	release := make(chan struct{})
+	var held atomic.Int32
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(HeaderCount) != "0" {
+			held.Add(1)
+			<-release
+		}
+		f.handleReplicate(w, r)
+	}))
+	defer proxy.Close()
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+
+	peer := Peer{Name: "f", URL: proxy.URL}
+	sh := NewShipper(Config[string, int64]{
+		Store: p, Self: "p", Advertise: "http://primary.test",
+		Peers:         []Peer{peer},
+		Interval:      2 * time.Millisecond,
+		BatchMax:      8, // four batches fill a depth-4 pipeline
+		PipelineDepth: 4,
+	})
+	sh.Start()
+	defer sh.Stop()
+
+	waitFor(t, "four batches held open", func() bool { return held.Load() == 4 })
+	if got := sh.Status()["f"].InFlight; got != 4 {
+		t.Fatalf("in flight = %d with four posts held open, want 4", got)
+	}
+	sh.observeAck(peer, Ack{Durable: p.LastSeq()})
+	if st := sh.Status()["f"]; st.Acked != p.LastSeq() || st.InFlight != 0 {
+		t.Fatalf("status = %+v after a cumulative ack of the tail, want acked %d and nothing in flight", st, p.LastSeq())
+	}
+	released = true
+	close(release)
+	waitFor(t, "delivery after release", func() bool { return f.store.LastSeq() == p.LastSeq() })
+	verifyFollower(t, f, entries)
+}
+
 // TestPipelinedStreamDeliversAll forces a deep pipeline (small batches,
 // slow follower) and verifies the optimistic send window delivers the
 // whole journal exactly once, with the cumulative watermark resolving

@@ -119,7 +119,7 @@ type Shipper[N comparable, L any] struct {
 	errs      map[string]string
 	stalled   map[string]bool
 	divergent map[string]bool
-	inflight  map[string]int
+	inflight  map[string][]uint64 // last sequence number of each unresolved batch, in posting order
 	lastOK    map[string]time.Time
 	rng       *rand.Rand
 	fenced    bool
@@ -173,7 +173,7 @@ func NewShipper[N comparable, L any](cfg Config[N, L]) *Shipper[N, L] {
 		errs:      map[string]string{},
 		stalled:   map[string]bool{},
 		divergent: map[string]bool{},
-		inflight:  map[string]int{},
+		inflight:  map[string][]uint64{},
 		lastOK:    map[string]time.Time{},
 		rng:       rand.New(rand.NewSource(seed)),
 		kicks:     map[string]chan struct{}{},
@@ -280,7 +280,7 @@ func (sh *Shipper[N, L]) Status() map[string]PeerStatus {
 			Err:       sh.errs[p.Name],
 			Stalled:   sh.stalled[p.Name],
 			Divergent: sh.divergent[p.Name],
-			InFlight:  sh.inflight[p.Name],
+			InFlight:  len(sh.inflight[p.Name]),
 		}
 	}
 	return out
@@ -294,7 +294,9 @@ func (sh *Shipper[N, L]) Status() map[string]PeerStatus {
 // repeated ack is simply absorbed. A heartbeat ack from a peer marked
 // divergent does not clear its state: reachability is not progress,
 // and the divergence note must stay visible until the peer's resync
-// actually catches it up to this node's tail.
+// actually catches it up to this node's tail. Every in-flight batch at
+// or below the watermark is resolved in the same critical section, so
+// a caller that sees the watermark also sees those batches gone.
 func (sh *Shipper[N, L]) observeAck(p Peer, a Ack) {
 	if sh.cfg.Lease != nil {
 		sh.cfg.Lease.Renew()
@@ -303,6 +305,11 @@ func (sh *Shipper[N, L]) observeAck(p Peer, a Ack) {
 	if a.Durable > sh.acked[p.Name] {
 		sh.acked[p.Name] = a.Durable
 	}
+	pending := sh.inflight[p.Name]
+	for len(pending) > 0 && pending[0] <= sh.acked[p.Name] {
+		pending = pending[1:]
+	}
+	sh.inflight[p.Name] = pending
 	if !sh.divergent[p.Name] || a.Durable >= sh.cfg.Store.LastSeq() {
 		delete(sh.errs, p.Name)
 		delete(sh.stalled, p.Name)
@@ -313,11 +320,20 @@ func (sh *Shipper[N, L]) observeAck(p Peer, a Ack) {
 	sh.mu.Unlock()
 }
 
-// setInFlight publishes the peer's current pipeline occupancy for
-// Status.
-func (sh *Shipper[N, L]) setInFlight(p Peer, n int) {
+// posted registers a batch ending at sequence number last as in
+// flight to peer p until a watermark acknowledgement covers it.
+func (sh *Shipper[N, L]) posted(p Peer, last uint64) {
 	sh.mu.Lock()
-	sh.inflight[p.Name] = n
+	sh.inflight[p.Name] = append(sh.inflight[p.Name], last)
+	sh.mu.Unlock()
+}
+
+// abandonInFlight forgets the peer's unresolved batches when its
+// pipeline collapses: they are no longer in flight, and resending
+// restarts from the peer's probed position.
+func (sh *Shipper[N, L]) abandonInFlight(p Peer) {
+	sh.mu.Lock()
+	sh.inflight[p.Name] = nil
 	sh.mu.Unlock()
 }
 
@@ -427,10 +443,12 @@ type shipResult struct {
 // follower's cumulative watermark acknowledgements resolve them as
 // they land (in any order). It returns nil when the shipper stops and
 // the first error otherwise, after draining the remaining in-flight
-// posts so a retrying caller starts from a quiet wire.
+// posts so a retrying caller starts from a quiet wire. The window is
+// bounded by outstanding posts; Status reports batches not yet
+// resolved by a watermark.
 func (sh *Shipper[N, L]) stream(p Peer, durable uint64) error {
 	results := make(chan shipResult, sh.cfg.PipelineDepth)
-	inflight := 0
+	inflight := 0 // outstanding posts
 	nextSend := durable
 	var firstErr error
 	// drain collects every outstanding result; posts are bounded by the
@@ -445,7 +463,7 @@ func (sh *Shipper[N, L]) stream(p Peer, durable uint64) error {
 				sh.observeAck(p, r.ack)
 			}
 		}
-		sh.setInFlight(p, 0)
+		sh.abandonInFlight(p)
 	}
 	defer drain()
 	for {
@@ -457,7 +475,7 @@ func (sh *Shipper[N, L]) stream(p Peer, durable uint64) error {
 			}
 			nextSend = recs[len(recs)-1].Seq
 			inflight++
-			sh.setInFlight(p, inflight)
+			sh.posted(p, nextSend)
 			go func() {
 				ack, err := sh.post(p, recs)
 				results <- shipResult{ack: ack, err: err}
@@ -472,7 +490,6 @@ func (sh *Shipper[N, L]) stream(p Peer, durable uint64) error {
 			return nil
 		case r := <-results:
 			inflight--
-			sh.setInFlight(p, inflight)
 			if r.err != nil {
 				firstErr = r.err
 				drain()

@@ -363,9 +363,7 @@ func New(cfg Config) (*Server, *wal.Recovered[string, int64], error) {
 	s.state.Store(st)
 	s.follower.Store(cfg.Role == RoleFollower)
 	if st.store != nil {
-		entries := st.store.Entries()
-		s.restoreTwoPhaseEpoch(entries)
-		s.restoreMigrationFences(entries)
+		s.restoreFences(st.store)
 	}
 	if len(cfg.Peers) > 0 {
 		// The lease starts expired: a freshly started (or revived)
@@ -430,9 +428,23 @@ func (s *Server) adopt(store *wal.Store[string, int64], uf *concurrent.UF[string
 		store:   store,
 		applier: &replica.Applier[string, int64]{G: s.g, UF: uf, Journal: journal, Store: store},
 	})
-	adopted := store.Entries()
-	s.restoreTwoPhaseEpoch(adopted)
-	s.restoreMigrationFences(adopted)
+	s.restoreFences(store)
+}
+
+// restoreFences re-establishes the 2PC epoch fence and the migration
+// fences from the store's durable history. It pages through the
+// assertion list in journal order, 256 at a time, rather than copying
+// it whole: only the tagged reasons matter.
+func (s *Server) restoreFences(store *wal.Store[string, int64]) {
+	page := make([]cert.Entry[string, int64], 256)
+	for from := 0; ; from += len(page) {
+		n := store.ReadEntries(page, from)
+		s.restoreTwoPhaseEpoch(page[:n])
+		s.restoreMigrationFences(page[:n])
+		if n < len(page) {
+			return
+		}
+	}
 }
 
 // healSource resolves the node to pull certified resync state from:
@@ -624,9 +636,7 @@ func (s *Server) Promote(token uint64) error {
 	// replication, never through its own write gate: pick the 2PC epoch
 	// fence and the migration moved-node fences up from the journal
 	// before accepting coordinator or client traffic.
-	promoted := st.store.Entries()
-	s.restoreTwoPhaseEpoch(promoted)
-	s.restoreMigrationFences(promoted)
+	s.restoreFences(st.store)
 	if s.cfg.Advertise != "" {
 		s.primaryHint.Store(s.cfg.Advertise)
 	}

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -269,6 +271,78 @@ func TestEpochFenceSurvivesRestart(t *testing.T) {
 	}
 	if st.TwoPhase == nil || st.TwoPhase.MaxEpoch != 9 || st.TwoPhase.Fenced != 1 {
 		t.Fatalf("2pc stats after restart: %+v", st.TwoPhase)
+	}
+}
+
+// TestFencesRestoredAcrossStorePages: start-up restores the 2PC epoch
+// fence and the migration fences by paging through the store's
+// assertions, so tags past the first page must count as much as tags
+// in it. The newest intent tag and the moved marker sit behind 300
+// untagged entries; a restarted node must still fence the stale
+// coordinator epoch, the stale migration epoch and writes to the moved
+// nodes.
+func TestFencesRestoredAcrossStorePages(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	s1, _, c := newTestServer(t, server.Config{Dir: dir})
+	if _, err := c.Assert(ctx, "t0", "t1", 1, server.FormatIntentTag(1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	var batch []server.AssertRequest
+	for i := 1; i <= 300; i++ {
+		batch = append(batch, server.AssertRequest{
+			N: "p" + strconv.Itoa(i-1), M: "p" + strconv.Itoa(i), Label: int64(i), Reason: "untagged",
+		})
+	}
+	for len(batch) > 0 {
+		n := min(len(batch), 100)
+		if _, err := c.BatchAssert(ctx, batch[:n]); err != nil {
+			t.Fatal(err)
+		}
+		batch = batch[n:]
+	}
+	if _, err := c.Assert(ctx, "a", "b", 5, server.FormatIntentTag(7, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if cr, err := c.MigrateComplete(ctx, server.MigrateCompleteRequest{
+		Migration: 4, Epoch: 2, MapEpoch: 6, To: "beta", Nodes: []string{"m1", "m2"},
+	}); err != nil || !cr.Durable {
+		t.Fatalf("complete = (%+v, %v), want a journaled marker", cr, err)
+	}
+	entries := s1.Store().Entries()
+	for i, e := range entries[:256] {
+		if _, epoch, ok := server.ParseIntentTag(e.Reason); (ok && epoch == 9) || strings.HasPrefix(e.Reason, server.MovedMarkerPrefix) {
+			t.Fatalf("entry %d (%q) is on the first page; the test needs it past it", i, e.Reason)
+		}
+	}
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, c2 := newTestServer(t, server.Config{Dir: dir})
+	c2.MaxRetries = 0
+	_, err := c2.Prepare(ctx, server.PrepareRequest{Intent: 8, Epoch: 8, N: "c", M: "d", Label: 1})
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.HTTPStatus() != http.StatusForbidden {
+		t.Fatalf("stale-epoch prepare after restart: %v, want 403", err)
+	}
+	st, err := c2.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TwoPhase == nil || st.TwoPhase.MaxEpoch != 9 {
+		t.Fatalf("2pc stats after restart: %+v, want max epoch 9", st.TwoPhase)
+	}
+	_, err = c2.Assert(ctx, "m1", "z", 1, "stale write after restart")
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusForbidden || apiErr.Detail().NewOwner != "beta" || apiErr.Detail().MapEpoch != 6 {
+		t.Fatalf("write to a moved node after restart: %v, want 403 naming beta at map epoch 6", err)
+	}
+	_, err = c2.MigrateComplete(ctx, server.MigrateCompleteRequest{
+		Migration: 5, Epoch: 1, MapEpoch: 7, To: "gamma", Nodes: []string{"q"},
+	})
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusForbidden {
+		t.Fatalf("stale-epoch complete after restart: %v, want 403", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -47,5 +49,67 @@ func TestAssertAllocationBudget(t *testing.T) {
 	dup := testing.AllocsPerRun(runs, func() { j.Record("a", "b", 3, "again") })
 	if dup != 0 {
 		t.Errorf("duplicate Journal.Record: %.1f allocations, want 0", dup)
+	}
+}
+
+// TestOpenRetainedHeap pins the resident cost of a recovered store:
+// after wal.Open on a history of 2·10^4 distinct assertions over 10^4
+// nodes (the shape of the service benchmark's preloaded state), the
+// store, its record mirror, the certificate journal and the rebuilt
+// union-find together must retain at most 200 bytes per distinct
+// assertion. The journal keeps each endpoint once, in its node table,
+// and the mirror keeps an index per record instead of a copy.
+func TestOpenRetainedHeap(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := Open(dir, group.Delta{}, DeltaCodec{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const asserts, nodes = 20000, 10000
+	// Labels are potential differences, so every assertion is
+	// consistent; a pair is drawn again until the assertion is new.
+	rng := rand.New(rand.NewSource(1))
+	pot := make([]int64, nodes)
+	for i := range pot {
+		pot[i] = rng.Int63n(1000)
+	}
+	seen := map[[2]int]bool{}
+	for i := 0; i < asserts; {
+		a, b := rng.Intn(nodes), rng.Intn(nodes)
+		if a == b || seen[[2]int{a, b}] {
+			continue
+		}
+		seen[[2]int{a, b}] = true
+		e := cert.Entry[string, int64]{
+			N: "node-" + strconv.Itoa(a), M: "node-" + strconv.Itoa(b),
+			Label: pot[b] - pot[a], Reason: "load-" + strconv.Itoa(i),
+		}
+		if _, err := st.Append(e); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st, rec, err := Open(dir, group.Delta{}, DeltaCodec{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perAssert := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / asserts
+	runtime.KeepAlive(rec)
+	if st.Len() != asserts {
+		t.Fatalf("recovered %d assertions, want %d", st.Len(), asserts)
+	}
+	st.Close()
+	t.Logf("wal.Open retains %.0f bytes per distinct assertion", perAssert)
+	if perAssert > 200 {
+		t.Errorf("wal.Open retains %.0f bytes per distinct assertion, budget 200", perAssert)
 	}
 }

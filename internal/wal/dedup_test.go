@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 
 	"luf/internal/cert"
@@ -21,12 +22,15 @@ import (
 // written without the certificate journal: the records on disk in
 // sequence order, and the distinct assertions — same endpoints and
 // label — each as its first persisted record holds it. A failed append
-// leaves it untouched and kills the log until the next open.
+// leaves it untouched and kills the log until the next open. snap is
+// the coverage of the newest snapshot, and base the trim base of the
+// journal file.
 type dedupModel struct {
-	records []SeqEntry[string, int64]
-	entries []cert.Entry[string, int64]
-	seen    map[[3]string]bool
-	dead    bool
+	records    []SeqEntry[string, int64]
+	entries    []cert.Entry[string, int64]
+	seen       map[[3]string]bool
+	dead       bool
+	snap, base uint64
 }
 
 func dedupKeyOf(e cert.Entry[string, int64]) [3]string {
@@ -46,8 +50,20 @@ func (m *dedupModel) persist(e cert.Entry[string, int64]) {
 // image renders the journal file the model's records must produce,
 // encoding every frame independently of the store's encoder.
 func (m *dedupModel) image() []byte {
-	img := appendFrame(nil, encodeHeader(DeltaCodec{}.GroupID(), 0, 0))
-	for _, r := range m.records {
+	return modelImage(m.base, m.records[m.base:])
+}
+
+// snapImage renders the snapshot file the model's records must
+// produce.
+func (m *dedupModel) snapImage() []byte {
+	return modelImage(m.snap, m.records[:m.snap])
+}
+
+// modelImage renders a header with trim base or coverage covers,
+// followed by recs.
+func modelImage(covers uint64, recs []SeqEntry[string, int64]) []byte {
+	img := appendFrame(nil, encodeHeader(DeltaCodec{}.GroupID(), covers, 0))
+	for _, r := range recs {
 		p := binary.AppendUvarint([]byte{recAssert}, r.Seq)
 		for _, f := range []string{r.Entry.N, r.Entry.M, strconv.FormatInt(r.Entry.Label, 10), r.Entry.Reason} {
 			p = binary.AppendUvarint(p, uint64(len(f)))
@@ -58,15 +74,75 @@ func (m *dedupModel) image() []byte {
 	return img
 }
 
+// checkMirror compares every read of the store's record mirror with
+// the model: RecordAt at every sequence number, RecordsSince from
+// every position under several batch limits, and ReadEntries windows
+// of several sizes from every position.
+func (m *dedupModel) checkMirror(t *testing.T, st *Store[string, int64]) {
+	t.Helper()
+	for seq := uint64(0); seq <= m.seq()+1; seq++ {
+		var want SeqEntry[string, int64]
+		wantOK := seq >= 1 && seq <= m.seq()
+		if wantOK {
+			want = m.records[seq-1]
+		}
+		if got, ok := st.RecordAt(seq); ok != wantOK || got != want {
+			t.Fatalf("RecordAt(%d) = (%v, %v), model (%v, %v)", seq, got, ok, want, wantOK)
+		}
+	}
+	for after := uint64(0); after <= m.seq()+1; after++ {
+		for _, max := range []int{0, 1, 7} {
+			var want []SeqEntry[string, int64]
+			if after < m.seq() {
+				want = m.records[after:]
+			}
+			if max > 0 && len(want) > max {
+				want = want[:max]
+			}
+			if got := st.RecordsSince(after, max); !slices.Equal(got, want) {
+				t.Fatalf("RecordsSince(%d, %d) = %v, model %v", after, max, got, want)
+			}
+		}
+	}
+	for from := -1; from <= len(m.entries)+1; from++ {
+		for _, size := range []int{1, 5, 300} {
+			dst := make([]cert.Entry[string, int64], size)
+			n := st.ReadEntries(dst, from)
+			var want []cert.Entry[string, int64]
+			if from >= 0 && from < len(m.entries) {
+				want = m.entries[from:min(from+size, len(m.entries))]
+			}
+			if !slices.Equal(dst[:n], want) {
+				t.Fatalf("ReadEntries(len %d, from %d) = %v, model %v", size, from, dst[:n], want)
+			}
+		}
+	}
+}
+
+// checkFile compares the store file name with the image the model
+// renders for it.
+func checkFile(t *testing.T, dir, name string, want []byte) {
+	t.Helper()
+	img, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img, want) {
+		t.Fatalf("%s on disk (%d bytes) differs from the model's image (%d bytes)", name, len(img), len(want))
+	}
+}
+
 // TestStoreDedupMatchesModel drives random operation sequences through
 // a store and the model side by side: fresh appends, exact duplicates
 // under a different reason, assertions a recording union-find put in
 // the journal before the store saw them, replicated records that
 // duplicate a persisted assertion at a new sequence number (a failover
 // boundary), idempotent and divergent re-deliveries, injected disk-full
-// appends, and reopens. After every step Entries (order and reasons),
-// Len and LastSeq must match the model; after every reopen and at the
-// end the journal bytes on disk must too.
+// appends, snapshots, trims and reopens. After every step Entries
+// (order and reasons), Len, LastSeq and every mirror read — RecordAt,
+// RecordsSince and ReadEntries — must match the model; after every
+// reopen and trim, and at the end, the journal bytes on disk must too,
+// and after every snapshot the snapshot file's bytes.
 func TestStoreDedupMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runDedupModel(t, seed) })
@@ -112,13 +188,7 @@ func runDedupModel(t *testing.T, seed int64) {
 		if rec.Entries != len(m.entries) {
 			t.Fatalf("open recovered %d entries, model holds %d", rec.Entries, len(m.entries))
 		}
-		img, err := os.ReadFile(filepath.Join(dir, journalName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(img, m.image()) {
-			t.Fatalf("journal on disk (%d bytes) differs from the model's records (%d bytes)", len(img), len(m.image()))
-		}
+		checkFile(t, dir, journalName, m.image())
 	}
 	open()
 	defer func() { st.Close() }()
@@ -172,7 +242,7 @@ func runDedupModel(t *testing.T, seed int64) {
 			e := pool[rng.Intn(len(pool))]
 			err := st.AppendReplicated(st.LastSeq()+1, e)
 			write("replicated append", err, e, true)
-		case r < 19 && len(m.records) > 0: // re-delivery of a held sequence number
+		case r < 18 && len(m.records) > 0: // re-delivery of a held sequence number
 			held := m.records[rng.Intn(len(m.records))]
 			if err := st.AppendReplicated(held.Seq, held.Entry); err != nil {
 				t.Fatalf("idempotent re-delivery of %d: %v", held.Seq, err)
@@ -183,6 +253,26 @@ func runDedupModel(t *testing.T, seed int64) {
 			if err := st.AppendReplicated(held.Seq, forged); !errors.As(err, &div) {
 				t.Fatalf("divergent re-delivery of %d: err = %v, want DivergenceError", held.Seq, err)
 			}
+		case r < 19: // a snapshot, then possibly a trim to it
+			if err := st.Snapshot(); err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			m.snap = m.seq()
+			checkFile(t, dir, snapshotName, m.snapImage())
+			if rng.Intn(2) == 0 {
+				break
+			}
+			switch err := st.Trim(); {
+			case m.dead && m.snap > 0:
+				if !errors.Is(err, fault.ErrIO) {
+					t.Fatalf("trim on a failed log: err = %v, want sticky ErrIO", err)
+				}
+			case err != nil:
+				t.Fatalf("trim: %v", err)
+			case m.snap > 0:
+				m.base = m.snap
+				checkFile(t, dir, journalName, m.image())
+			}
 		default:
 			open()
 		}
@@ -192,6 +282,117 @@ func runDedupModel(t *testing.T, seed int64) {
 		if st.Len() != len(m.entries) || st.LastSeq() != m.seq() {
 			t.Fatalf("step %d: Len %d LastSeq %d, model %d and %d", step, st.Len(), st.LastSeq(), len(m.entries), m.seq())
 		}
+		m.checkMirror(t, st)
 	}
 	open()
+}
+
+// TestStoreConcurrentMirrorMatchesRecovery runs appends — fresh,
+// duplicates under other reasons, assertions a recording union-find
+// saw first under its own reason — concurrently with every mirror
+// read and with snapshots. Afterwards the mirror must hold exactly the
+// records the journal file holds, reasons included (snapshots are
+// written from the mirror, so the journal file is the reference), and
+// recovery must rebuild the same records and Entries.
+func TestStoreConcurrentMirrorMatchesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	st, rec, err := Open(dir, group.Delta{}, DeltaCodec{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 4, 150
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := range perWriter {
+				// Writers share nodes, and labels are potential
+				// differences, so writes overlap without conflicting.
+				a, b := rng.Intn(40), rng.Intn(40)
+				e := cert.Entry[string, int64]{
+					N: "n" + strconv.Itoa(a), M: "n" + strconv.Itoa(b), Label: int64(b - a),
+					Reason: fmt.Sprintf("w%d-%d", w, i),
+				}
+				if rng.Intn(3) == 0 {
+					rec.Journal.Record(e.N, e.M, e.Label, e.Reason+"-uf")
+				}
+				if _, err := st.Append(e); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	readers := sync.WaitGroup{}
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		dst := make([]cert.Entry[string, int64], 7)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			last := st.LastSeq()
+			st.RecordsSince(last/2, 5)
+			st.RecordAt(last)
+			st.ReadEntries(dst, st.Len()/2)
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := st.Snapshot(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if t.Failed() {
+		st.Close()
+		return
+	}
+	records, entries := st.RecordsSince(0, 0), st.Entries()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := DecodeAll(img, DeltaCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(file.Records) != len(records) {
+		t.Fatalf("mirror holds %d records, the journal file %d", len(records), len(file.Records))
+	}
+	for i, r := range file.Records {
+		if records[i] != (SeqEntry[string, int64]{Seq: r.Seq, Entry: r.Entry}) {
+			t.Fatalf("mirror record %d = %v, journal file holds %v", i, records[i], r)
+		}
+	}
+	st, _, err = Open(dir, group.Delta{}, DeltaCodec{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := st.RecordsSince(0, 0); !slices.Equal(got, records) {
+		t.Fatalf("recovered records differ from the mirror before the restart:\n got %v\nwant %v", got, records)
+	}
+	if got := st.Entries(); !slices.Equal(got, entries) {
+		t.Fatalf("recovered Entries differ from those before the restart:\n got %v\nwant %v", got, entries)
+	}
 }

@@ -21,7 +21,13 @@ import (
 // The store keeps no entry list or dedup index of its own: it dedups
 // against the certificate journal its recovery built (Recovered.Journal,
 // which serving keeps recording into), marking an assertion persisted
-// there once its record is written.
+// there once its record is written. The record mirror is an index into
+// that journal — per record, its sequence number and its entry's index
+// — plus a side table holding the reason of any record whose reason
+// differs from its entry's (a duplicate across a failover boundary, or
+// a writer whose assertion was first recorded under another reason).
+// Records are materialized from the journal when read, under the store
+// lock and then the journal's read lock, always in that order.
 //
 // Sequence numbers are global, not per-file: a record keeps the number
 // it was first assigned through snapshots, journal trims and
@@ -34,12 +40,19 @@ type Store[N comparable, L any] struct {
 	codec Codec[N, L]
 	log   *Log
 
-	mu          sync.Mutex
-	seq         uint64 // last allocated sequence number
-	fence       uint64 // highest accepted fencing token
-	records     []SeqEntry[N, L]
-	journal     *cert.SyncJournal[N, L] // dedup index and persisted marks
-	firsts      []int                   // records index of each distinct assertion's first copy
+	mu    sync.Mutex
+	seq   uint64 // last allocated sequence number
+	fence uint64 // highest accepted fencing token
+	// Record i of the mirror has sequence number seqs[i] and holds
+	// journal entry ids[i], under reasons[seqs[i]] when present and the
+	// entry's own reason otherwise.
+	seqs        []uint64
+	ids         []int32
+	reasons     map[uint64]string
+	journal     *cert.SyncJournal[N, L] // dedup index, persisted marks and record contents
+	firsts      []int32                 // record index of each distinct assertion's first copy
+	buf         []cert.Entry[N, L]      // scratch for materializing records, chunk long
+	idBuf       []int32                 // scratch for gathering entry indices, chunk long
 	snapshotSeq uint64                  // CoversSeq of the newest snapshot on disk
 
 	snapMu sync.Mutex // serializes snapshot writes and trims
@@ -122,12 +135,22 @@ func Open[N comparable, L any](dir string, g group.Group[L], c Codec[N, L], opts
 		g:           g,
 		codec:       c,
 		log:         log,
-		records:     records,
+		seqs:        make([]uint64, len(records)),
+		ids:         make([]int32, len(records)),
 		journal:     journal,
+		buf:         make([]cert.Entry[N, L], chunk),
+		idBuf:       make([]int32, chunk),
 		snapshotSeq: covers,
-		// The record list may hold one relation more than once across a
-		// failover boundary; the journal holds it once.
-		firsts: journal.MarkReplayed(len(records), at),
+	}
+	// The record list may hold one relation more than once across a
+	// failover boundary; the journal holds it once, under the reason of
+	// its first record.
+	s.firsts = journal.MarkReplayed(len(records), at, s.ids)
+	for p, r := range records {
+		s.seqs[p] = r.Seq
+		if f := s.firsts[s.ids[p]]; int(f) != p && records[f].Entry.Reason != r.Entry.Reason {
+			s.setReasonLocked(r.Seq, r.Entry.Reason)
+		}
 	}
 	// Appends must resume above both the journal tail and the snapshot
 	// coverage (the journal file may have been truncated below the
@@ -165,7 +188,7 @@ func Rebuild[N comparable, L any](g group.Group[L], entries []cert.Entry[N, L]) 
 }
 
 // rebuild is Rebuild over n entries read through at, so recovery
-// replays its record mirror without copying it into an entry list.
+// replays its decoded records without copying them into an entry list.
 func rebuild[N comparable, L any](g group.Group[L], n int, at func(i int) cert.Entry[N, L]) (*concurrent.UF[N, L], *cert.SyncJournal[N, L], error) {
 	journal := cert.NewSyncJournal[N, L](g)
 	uf := concurrent.New[N, L](g, concurrent.WithRecorder[N, L](journal.Record))
@@ -227,9 +250,7 @@ func (s *Store[N, L]) Append(e cert.Entry[N, L]) (uint64, error) {
 		return 0, err
 	}
 	s.seq = seq
-	s.journal.MarkPersisted(e)
-	s.firsts = append(s.firsts, len(s.records))
-	s.records = append(s.records, SeqEntry[N, L]{Seq: seq, Entry: e})
+	s.addRecordLocked(seq, e)
 	return seq, nil
 }
 
@@ -264,19 +285,71 @@ func (s *Store[N, L]) AppendReplicated(seq uint64, e cert.Entry[N, L]) error {
 		return err
 	}
 	s.seq = seq
-	if s.journal.MarkPersisted(e) {
-		s.firsts = append(s.firsts, len(s.records))
-	}
-	s.records = append(s.records, SeqEntry[N, L]{Seq: seq, Entry: e})
+	s.addRecordLocked(seq, e)
 	return nil
+}
+
+// addRecordLocked marks a just-written record's assertion persisted in
+// the journal and registers the record in the mirror. Callers hold
+// s.mu.
+func (s *Store[N, L]) addRecordLocked(seq uint64, e cert.Entry[N, L]) {
+	idx, fresh, sameReason := s.journal.MarkPersisted(e)
+	if fresh {
+		s.firsts = append(s.firsts, int32(len(s.seqs)))
+	}
+	if !sameReason {
+		s.setReasonLocked(seq, e.Reason)
+	}
+	s.seqs = append(s.seqs, seq)
+	s.ids = append(s.ids, idx)
+}
+
+// setReasonLocked records that the record at seq holds reason rather
+// than its journal entry's reason. Callers hold s.mu.
+func (s *Store[N, L]) setReasonLocked(seq uint64, reason string) {
+	if s.reasons == nil {
+		s.reasons = map[uint64]string{}
+	}
+	s.reasons[seq] = reason
+}
+
+// chunk is how many records the store materializes per journal read.
+const chunk = 256
+
+// loadLocked materializes the n ≤ chunk records at mirror indices
+// i, i+1, … into the scratch buffer and returns them; the buffer is
+// reused by the next call. Callers hold s.mu.
+func (s *Store[N, L]) loadLocked(i, n int) []cert.Entry[N, L] {
+	buf := s.buf[:n]
+	s.journal.EntriesAt(buf, s.ids[i:i+n])
+	if len(s.reasons) > 0 {
+		for k, seq := range s.seqs[i : i+n] {
+			if r, ok := s.reasons[seq]; ok {
+				buf[k].Reason = r
+			}
+		}
+	}
+	return buf
+}
+
+// recordsLocked materializes the n records at mirror indices i, i+1, …
+// into a fresh slice. Callers hold s.mu.
+func (s *Store[N, L]) recordsLocked(i, n int) []SeqEntry[N, L] {
+	out := make([]SeqEntry[N, L], n)
+	for off := 0; off < n; off += chunk {
+		for k, e := range s.loadLocked(i+off, min(chunk, n-off)) {
+			out[off+k] = SeqEntry[N, L]{Seq: s.seqs[i+off+k], Entry: e}
+		}
+	}
+	return out
 }
 
 // recordAtLocked binary-searches the sequence-ordered record mirror.
 // Callers hold s.mu.
 func (s *Store[N, L]) recordAtLocked(seq uint64) (SeqEntry[N, L], bool) {
-	i := sort.Search(len(s.records), func(i int) bool { return s.records[i].Seq >= seq })
-	if i < len(s.records) && s.records[i].Seq == seq {
-		return s.records[i], true
+	i := sort.Search(len(s.seqs), func(i int) bool { return s.seqs[i] >= seq })
+	if i < len(s.seqs) && s.seqs[i] == seq {
+		return SeqEntry[N, L]{Seq: seq, Entry: s.loadLocked(i, 1)[0]}, true
 	}
 	return SeqEntry[N, L]{}, false
 }
@@ -298,14 +371,12 @@ func (s *Store[N, L]) RecordAt(seq uint64) (SeqEntry[N, L], bool) {
 func (s *Store[N, L]) RecordsSince(after uint64, max int) []SeqEntry[N, L] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := sort.Search(len(s.records), func(i int) bool { return s.records[i].Seq > after })
-	n := len(s.records) - i
+	i := sort.Search(len(s.seqs), func(i int) bool { return s.seqs[i] > after })
+	n := len(s.seqs) - i
 	if max > 0 && n > max {
 		n = max
 	}
-	out := make([]SeqEntry[N, L], n)
-	copy(out, s.records[i:i+n])
-	return out
+	return s.recordsLocked(i, n)
 }
 
 // Fence returns the highest fencing token the store has accepted.
@@ -399,8 +470,21 @@ func (s *Store[N, L]) ReadEntries(dst []cert.Entry[N, L], from int) int {
 		return 0
 	}
 	n := min(len(dst), len(s.firsts)-from)
-	for i, p := range s.firsts[from : from+n] {
-		dst[i] = s.records[p].Entry
+	for off := 0; off < n; off += chunk {
+		firsts := s.firsts[from+off : from+min(off+chunk, n)]
+		ids := s.idBuf[:len(firsts)]
+		for k, p := range firsts {
+			ids[k] = s.ids[p]
+		}
+		out := dst[off : off+len(firsts)]
+		s.journal.EntriesAt(out, ids)
+		if len(s.reasons) > 0 {
+			for k, p := range firsts {
+				if r, ok := s.reasons[s.seqs[p]]; ok {
+					out[k].Reason = r
+				}
+			}
+		}
 	}
 	return n
 }
@@ -415,8 +499,7 @@ func (s *Store[N, L]) Snapshot() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	s.mu.Lock()
-	recs := make([]SeqEntry[N, L], len(s.records))
-	copy(recs, s.records)
+	recs := s.recordsLocked(0, len(s.seqs))
 	covers := s.seq
 	fence := s.fence
 	s.mu.Unlock()
@@ -449,9 +532,11 @@ func (s *Store[N, L]) Trim() error {
 		return nil
 	}
 	image := appendFrame(nil, encodeHeader(s.codec.GroupID(), base, s.fence))
-	for _, r := range s.records {
-		if r.Seq > base {
-			image = appendAssertFrame(image, s.codec, r.Seq, r.Entry)
+	i := sort.Search(len(s.seqs), func(i int) bool { return s.seqs[i] > base })
+	for ; i < len(s.seqs); i += chunk {
+		n := min(chunk, len(s.seqs)-i)
+		for k, e := range s.loadLocked(i, n) {
+			image = appendAssertFrame(image, s.codec, s.seqs[i+k], e)
 		}
 	}
 	return s.log.Rewrite(image, s.seq)
